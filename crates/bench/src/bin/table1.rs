@@ -20,19 +20,13 @@
 //! per-protocol interner and mover-cache hit rates, pairwise-check counts,
 //! and the slowest premises. The JSON rows always carry these counters.
 //!
-//! `--exec compiled|interp` selects the DSL evaluation backend for every
-//! action in the run: the register-bytecode VM (the default) or the
-//! tree-walk reference interpreter. Used to regenerate the before/after
-//! rows of `BENCH_table1.json`.
-//!
 //! `--large` switches to the exploration-throughput tier: the parametric
 //! instances of `inseq_protocols::large_exploration_cases()` (10^4–10^6+
 //! visited configurations), timed on a selectable engine with configs/sec
 //! as the headline metric. Its companions:
 //!
-//! * `--engine seq|mpsc|steal|compare` — the sequential kernel, the
-//!   channel-migration baseline, the work-stealing engine (default), or all
-//!   three interleaved per run;
+//! * `--engine seq|steal` — the sequential kernel or the work-stealing
+//!   engine (default);
 //! * `--workers a,b` — worker counts for the parallel engines (default
 //!   `2,4`);
 //! * `--sweep-workers a,b,c` — the scaling-sweep spelling of `--workers`
@@ -45,8 +39,7 @@
 //!   process-id symmetry quotienting (cases with a symmetry spec, currently
 //!   Paxos), or both. Rows record pruned-successor and orbit-collapse
 //!   counters; cross-engine checks compare verdicts instead of exact
-//!   visited counts when reduction is on. The `mpsc` baseline always runs
-//!   unreduced.
+//!   visited counts when reduction is on.
 //!
 //! `--zoo` runs the same exploration tier over the scenario-zoo protocols
 //! (`inseq_protocols::zoo` — programs promoted from the coverage-guided
@@ -57,7 +50,7 @@
 //! apply.
 //!
 //! `--only`, `--json`, and `--stats` compose with `--large` and `--zoo`;
-//! `--jobs`, `--exec`, and `--compare` do not apply to them.
+//! `--jobs` and `--compare` do not apply to them.
 
 use std::process::ExitCode;
 
@@ -266,14 +259,8 @@ fn parse_engines(args: &[String]) -> Result<Vec<inseq_bench::LargeEngine>, Strin
     match parse_value_of(args, "--engine")?.as_deref() {
         None | Some("steal") => Ok(vec![LargeEngine::Steal]),
         Some("seq") => Ok(vec![LargeEngine::Seq]),
-        Some("mpsc") => Ok(vec![LargeEngine::Mpsc]),
-        Some("compare") => Ok(vec![
-            LargeEngine::Seq,
-            LargeEngine::Mpsc,
-            LargeEngine::Steal,
-        ]),
         Some(other) => Err(format!(
-            "invalid --engine value `{other}` (expected `seq`, `mpsc`, `steal`, or `compare`)"
+            "invalid --engine value `{other}` (expected `seq` or `steal`)"
         )),
     }
 }
@@ -412,49 +399,10 @@ fn run_large(
     ExitCode::SUCCESS
 }
 
-fn parse_exec(args: &[String]) -> Result<Option<inseq_lang::ExecMode>, String> {
-    for (i, arg) in args.iter().enumerate() {
-        let value = if let Some(v) = arg.strip_prefix("--exec=") {
-            Some(v.to_owned())
-        } else if arg == "--exec" {
-            Some(
-                args.get(i + 1)
-                    .cloned()
-                    .ok_or("--exec requires a backend (compiled|interp)")?,
-            )
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            return match v.as_str() {
-                "compiled" => Ok(Some(inseq_lang::ExecMode::Compiled)),
-                "interp" => Ok(Some(inseq_lang::ExecMode::Interp)),
-                other => Err(format!(
-                    "invalid --exec value `{other}` (expected `compiled` or `interp`)"
-                )),
-            };
-        }
-    }
-    Ok(None)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let compare = args.iter().any(|a| a == "--compare");
     let stats = args.iter().any(|a| a == "--stats");
-    match parse_exec(&args) {
-        Ok(Some(mode)) => {
-            if !inseq_lang::set_default_exec_mode(mode) {
-                eprintln!("--exec: evaluation backend was already fixed for this process");
-                return ExitCode::FAILURE;
-            }
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let json = parse_json_mode(&args);
     let jobs = match parse_jobs(&args) {
         Ok(jobs) => jobs,

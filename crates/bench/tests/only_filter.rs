@@ -110,7 +110,7 @@ fn large_json_rows_carry_worker_and_core_counts() {
     let row = LargeRow {
         name: "X".into(),
         instance: "n = 1".into(),
-        engine: LargeEngine::Mpsc,
+        engine: LargeEngine::Steal,
         workers: 4,
         run: 2,
         reduce: inseq_kernel::ReduceMode::Off,
@@ -122,17 +122,15 @@ fn large_json_rows_carry_worker_and_core_counts() {
             workers: 4,
             expanded: vec![250, 250, 250, 250],
             migrated: 900,
-            migration_dups: 300,
             ..inseq_obs::EngineSnapshot::default()
         },
     };
     let json = large_rows_as_json(&[row]);
-    assert!(json.contains("\"engine\": \"mpsc\""));
+    assert!(json.contains("\"engine\": \"steal\""));
     assert!(json.contains("\"workers\": 4"));
     assert!(json.contains("\"run\": 2"));
     assert!(json.contains("\"configs_per_sec\": 2000.0"));
     assert!(json.contains("\"engine_migrated\": 900"));
-    assert!(json.contains("\"engine_migration_dups\": 300"));
     assert!(json.contains(&format!(
         "\"machine_cores\": {}",
         inseq_bench::machine_cores()

@@ -85,7 +85,7 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
     let shard_inserts: Vec<String> = e.shard_inserts.iter().map(u64::to_string).collect();
     format!(
         "\"engine_workers\": {}, \"engine_expanded\": [{}], \"engine_steals\": {}, \
-         \"engine_stolen\": {}, \"engine_migrated\": {}, \"engine_migration_dups\": {}, \
+         \"engine_stolen\": {}, \"engine_migrated\": {}, \
          \"engine_pruned\": {}, \"engine_orbit_collapses\": {}, \
          \"engine_lock_waits\": {}, \"engine_lock_wait_nanos\": {}, \
          \"engine_intern_batches\": {}, \"engine_intern_batch_hist\": [{}], \
@@ -95,7 +95,6 @@ pub fn engine_fields(e: &EngineSnapshot) -> String {
         e.steals,
         e.stolen,
         e.migrated,
-        e.migration_dups,
         e.pruned,
         e.orbit_collapses,
         e.lock_waits,
@@ -187,7 +186,7 @@ mod tests {
              \"eliminated_actions\": 1, \"universe_stores\": 12, \
              \"intern_hits\": 5, \"intern_misses\": 6, \
              \"engine_workers\": 2, \"engine_expanded\": [4, 6], \"engine_steals\": 1, \
-             \"engine_stolen\": 2, \"engine_migrated\": 2, \"engine_migration_dups\": 0, \
+             \"engine_stolen\": 2, \"engine_migrated\": 2, \
              \"engine_pruned\": 0, \"engine_orbit_collapses\": 0, \
              \"engine_lock_waits\": 3, \"engine_lock_wait_nanos\": 1500, \
              \"engine_intern_batches\": 5, \"engine_intern_batch_hist\": [1, 2, 2, 0, 0, 0, 0], \

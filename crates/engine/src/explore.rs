@@ -5,8 +5,9 @@
 //! [`inseq_kernel::Explorer`]: it enumerates exactly the same reachable
 //! configuration set and produces the same `Good`/`Trans` summary, but
 //! expands configurations on `N` worker threads. Three structural decisions
-//! distinguish it from the channel-migration baseline it replaced (kept as
-//! [`crate::MpscExplorer`] for benchmarking):
+//! distinguish it from the channel-migration engine it replaced (per-shard
+//! private interners exchanging materialized configurations over `mpsc`
+//! channels):
 //!
 //! 1. **One shared [`ConcurrentInterner`]** instead of a private interner
 //!    per shard — and instead of the global `Mutex<Arena>` this engine
@@ -110,15 +111,16 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::hash::FxHashMap;
 use crate::memo::{build_plans, MemoPlan, Resolved, SharedMemo, View};
 use crate::stats::{ExploreStats, ShardStats};
 
 use inseq_obs::HitMissSnapshot;
 
+use inseq_kernel::hash::FxHasher;
 use inseq_kernel::{
     canonical_parts_concurrent, ActionName, BagId, ConcurrentInterner, Config, ConfigId, ConfigReq,
     ExploreError, FailureWitness, GlobalStore, Multiset, PaId, PendingAsync, Program,
@@ -165,6 +167,10 @@ const SUCC_MIN_HIT_PCT: u64 = 10;
 /// (one shared interner), so handing this to another worker is a copy of
 /// three `u32`s — no materialization, no re-interning.
 type WorkItem = (ConfigId, StoreId, BagId);
+
+/// A `HashMap` keyed through [`FxHasher`] — the right table for the
+/// worker-local caches keyed by interner ids, which SipHash would dominate.
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A parallel exhaustive explorer for a [`Program`].
 ///
@@ -1535,19 +1541,13 @@ mod tests {
         // duplicated by stealing.
         assert_eq!(stats.expanded() as usize, exp.config_count());
         // Steal conservation: everything stolen in was stolen from some
-        // deque, and the deque engine never re-interns migrated work.
+        // deque.
         assert_eq!(stats.stolen(), stats.migrated());
-        assert_eq!(stats.migration_dups(), 0);
-        assert!(stats.migration_dups() <= stats.migrated());
         // No reduction policy: nothing pruned, nothing collapsed, and the
         // bounded pa cache (reduction path only) stays untouched.
         assert_eq!(stats.pruned(), 0);
         assert_eq!(stats.orbit_collapses(), 0);
         assert_eq!(stats.pa_cache_peak(), 0);
-        for shard in &stats.shards {
-            assert_eq!(shard.received, 0);
-            assert_eq!(shard.received_dups, 0);
-        }
         // Batch accounting: every non-terminal expansion staged at least
         // one batch, and the histogram covers exactly the batches.
         assert!(stats.intern_batches() > 0);
@@ -1570,11 +1570,10 @@ mod tests {
         let err = result.unwrap_err();
         assert!(matches!(err, ExploreError::BudgetExceeded { limit: 2, .. }));
         // The error path still joins all workers and aggregates their
-        // counters: expansions happened, and the steal/migration invariant
-        // holds even for a run cut short mid-flight.
+        // counters: expansions happened, and steal conservation holds even
+        // for a run cut short mid-flight.
         assert_eq!(stats.shards.len(), 4);
         assert!(stats.expanded() >= 1);
-        assert!(stats.migration_dups() <= stats.migrated());
         assert_eq!(stats.stolen(), stats.migrated());
     }
 

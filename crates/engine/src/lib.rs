@@ -12,9 +12,7 @@
 //!   never a materialized configuration. Each worker owns a deque (push/pop
 //!   at the back); idle workers steal batches from the front. The reachable
 //!   set, verdict, terminal stores, and edge count are identical to the
-//!   sequential explorer's. The previous channel-migration engine survives
-//!   as [`MpscExplorer`], the before-baseline of `table1 --large --engine
-//!   compare`.
+//!   sequential explorer's.
 //! * **Layer 2 — [`Engine`]**: a job-DAG scheduler running independent
 //!   obligations — the Fig. 3 conditions of an IS application, per-pair
 //!   mover queries, whole Table 1 rows — concurrently on a fixed thread
@@ -43,17 +41,12 @@
 #![warn(missing_docs)]
 
 mod explore;
-#[cfg(feature = "fault-injection")]
-pub mod fault;
-pub mod hash;
 mod memo;
-mod mpsc;
 mod reduce;
 mod schedule;
 mod stats;
 
 pub use explore::{ParallelExploration, ParallelExplorer};
-pub use mpsc::{MpscExploration, MpscExplorer};
 pub use reduce::Reducer;
 pub use schedule::{Engine, EngineReport, Job, JobResult, JobStats, JobStatus};
 pub use stats::{ExploreStats, ShardStats};

@@ -1,5 +1,5 @@
-//! The shared footprint-keyed evaluation memo, used by both parallel
-//! engines ([`crate::ParallelExplorer`] and [`crate::MpscExplorer`]).
+//! The shared footprint-keyed evaluation memo of
+//! [`crate::ParallelExplorer`].
 //!
 //! All workers share one memo so no shard repeats another's interpreter
 //! work. Actions that expose a [`Footprint`] (every DSL action does) are
@@ -15,7 +15,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hash::FxHasher;
+use inseq_kernel::hash::FxHasher;
 
 use inseq_obs::HitMissSnapshot;
 

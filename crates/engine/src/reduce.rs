@@ -188,7 +188,7 @@ impl ReductionPolicy for Reducer {
                 _ => continue,
             }
             #[cfg(feature = "fault-injection")]
-            if self.unsound || crate::fault::unsound_prune_enabled() {
+            if self.unsound {
                 return Some(i);
             }
             // Commutation obligations: against a further self-instance when

@@ -1,13 +1,6 @@
-//! Observability counters shared by the parallel exploration engines.
-//!
-//! Both [`crate::ParallelExplorer`] (work-stealing deques over shared
-//! arenas) and [`crate::MpscExplorer`] (route-sharded private arenas with
-//! channel migration) report the same [`ExploreStats`] shape, so callers —
-//! `IsReport.stats`, `table1 --stats`, the bench harness — can compare the
-//! engines field by field. Counters that do not apply to an engine stay
-//! zero: the deque engine never re-interns a migrated configuration
-//! (`received`/`received_dups`), the channel engine never steals
-//! (`steals`/`stolen_in`).
+//! Observability counters of the work-stealing [`crate::ParallelExplorer`],
+//! reported as [`ExploreStats`] to `IsReport.stats`, `table1 --stats` and
+//! the bench harness.
 
 use inseq_obs::{
     batch_hist_bucket, ContentionSnapshot, EngineSnapshot, HitMissSnapshot, BATCH_HIST_BUCKETS,
@@ -21,28 +14,20 @@ pub struct ShardStats {
     /// Config-dedup hits/misses attributed to this worker (misses = the
     /// distinct configurations this worker interned first; hits = duplicate
     /// successors it rejected in O(1)). Summed over shards, misses equal
-    /// the visited-set size for either engine.
+    /// the visited-set size.
     pub intern: HitMissSnapshot,
     /// Configurations this worker expanded (evaluated all pending asyncs
     /// of) — the occupancy measure: a balanced run has near-equal
     /// `expanded` across shards.
     pub expanded: u64,
     /// Successful steal operations this worker performed when its own
-    /// deque ran dry (deque engine only).
+    /// deque ran dry.
     pub steals: u64,
-    /// Configurations this worker acquired by stealing (deque engine only).
+    /// Configurations this worker acquired by stealing.
     pub stolen_in: u64,
     /// Work this shard handed to other workers: configurations stolen
-    /// *from* this shard's deque (deque engine), or cross-shard successors
-    /// staged over channels (mpsc engine).
+    /// *from* this shard's deque.
     pub migrated_out: u64,
-    /// Migrated configurations received from other shards and re-interned
-    /// here — the id translation at migration (mpsc engine only; the deque
-    /// engine's shared arenas make re-interning structurally impossible).
-    pub received: u64,
-    /// Received migrations that were already known to this shard — the
-    /// dedup work that sharding could not avoid (mpsc engine only).
-    pub received_dups: u64,
     /// Pending asyncs this worker left unexpanded because an ample
     /// singleton stood in for them (partial-order reduction only; zero on
     /// unreduced runs).
@@ -52,11 +37,10 @@ pub struct ShardStats {
     /// zero on unreduced runs).
     pub orbit_collapses: u64,
     /// Phase-3 intern batches this worker staged: expansion rounds that
-    /// interned at least one successor through the concurrent interner
-    /// (deque engine only).
+    /// interned at least one successor through the concurrent interner.
     pub intern_batches: u64,
     /// Histogram of those batches by successor count, with bucket bounds
-    /// [`inseq_obs::BATCH_HIST_BOUNDS`] (deque engine only).
+    /// [`inseq_obs::BATCH_HIST_BOUNDS`].
     pub intern_batch_hist: [u64; BATCH_HIST_BUCKETS],
     /// High-water mark of this worker's bounded pending-async cache (the
     /// reduction path's value cache; zero on unreduced runs).
@@ -85,8 +69,7 @@ pub struct ExploreStats {
     /// action has a footprint or the memo disabled itself in probation).
     pub memo: HitMissSnapshot,
     /// The concurrent interner's contention shape: lock waits, total wait
-    /// nanoseconds, per-shard insert spread. All zero on engines without a
-    /// concurrent interner (mpsc, sequential).
+    /// nanoseconds, per-shard insert spread.
     pub contention: ContentionSnapshot,
 }
 
@@ -119,17 +102,11 @@ impl ExploreStats {
         self.shards.iter().map(|s| s.stolen_in).sum()
     }
 
-    /// Total work that left its discovering shard (stolen configurations
-    /// on the deque engine, staged channel migrations on the mpsc engine).
+    /// Total configurations stolen from some worker's deque, counted at
+    /// the victims.
     #[must_use]
     pub fn migrated(&self) -> u64 {
         self.shards.iter().map(|s| s.migrated_out).sum()
-    }
-
-    /// Total received migrations that were already known to their owner.
-    #[must_use]
-    pub fn migration_dups(&self) -> u64 {
-        self.shards.iter().map(|s| s.received_dups).sum()
     }
 
     /// Total pending asyncs left unexpanded by partial-order reduction.
@@ -185,7 +162,6 @@ impl ExploreStats {
             steals: self.steals(),
             stolen: self.stolen(),
             migrated: self.migrated(),
-            migration_dups: self.migration_dups(),
             pruned: self.pruned(),
             orbit_collapses: self.orbit_collapses(),
             lock_waits: self.contention.lock_waits,

@@ -1,25 +1,21 @@
 //! Negative-path coverage: budget exhaustion while work is moving between
-//! shards — over mpsc channels on the baseline engine, and between
-//! work-stealing deques on the current one.
+//! work-stealing deques.
 //!
-//! The mpsc explorer routes successors by store hash, so on a program whose
-//! every step changes the store, most successors cross shards. With a
-//! budget far below the reachable-set size, exhaustion lands while that
-//! migration traffic is in flight — the case where the shared atomic
+//! With a budget far below the reachable-set size, exhaustion lands while
+//! workers are stealing from each other — the case where the shared atomic
 //! counter, cancellation flag, and post-join `visited` aggregation must
-//! still produce a coherent error. The work-stealing engine has the
-//! mirror-image hazard: exhaustion mid-steal, where per-shard counters must
-//! still be aggregated after the join ([`ParallelExplorer::explore_with_stats`]).
+//! still produce a coherent error, and per-shard counters must still be
+//! aggregated after the join ([`ParallelExplorer::explore_with_stats`]).
 
-use inseq_engine::{MpscExplorer, ParallelExplorer};
+use inseq_engine::ParallelExplorer;
 use inseq_kernel::{
     ActionOutcome, ExploreError, Explorer, GlobalSchema, GlobalStore, Multiset, NativeAction,
     PendingAsync, Program, Transition, Value,
 };
 
 /// `Main` spawns `k` `IncA` and `k` `IncB` tasks; each bumps its own
-/// counter. Every firing changes the store, so successors are spread
-/// across shards, and the reachable set has `Θ(k²)` configurations.
+/// counter. Every firing changes the store, and the reachable set has
+/// `Θ(k²)` configurations.
 fn two_counter_program(k: usize) -> Program {
     let mut b = Program::builder(GlobalSchema::new(["a", "b"]));
     b.action(
@@ -48,28 +44,8 @@ fn init(p: &Program) -> inseq_kernel::Config {
     p.initial_config(vec![]).expect("Main has arity 0")
 }
 
-/// This program shape really does migrate on the mpsc engine: a successful
-/// 4-worker run re-interns configurations received from other shards.
 #[test]
-fn two_counter_program_exercises_cross_shard_migration() {
-    let p = two_counter_program(6);
-    let exploration = MpscExplorer::new(&p)
-        .with_workers(4)
-        .explore([init(&p)])
-        .expect("well under any default budget");
-    let stats = exploration.stats();
-    assert!(
-        stats.migrated() > 0,
-        "no cross-shard traffic — the budget test below would not cover migration"
-    );
-    assert!(
-        stats.shards.iter().map(|s| s.received).sum::<u64>() > 0,
-        "migrations staged but never received"
-    );
-}
-
-#[test]
-fn budget_exceeded_mid_migration_reports_limit_and_witness() {
+fn budget_exceeded_mid_steal_reports_limit_and_witness() {
     let p = two_counter_program(6);
     let sequential_size = Explorer::new(&p)
         .explore([init(&p)])
@@ -78,71 +54,42 @@ fn budget_exceeded_mid_migration_reports_limit_and_witness() {
     let budget = 10;
     assert!(
         sequential_size > 4 * budget,
-        "state space too small to exhaust the budget during migration"
+        "state space too small to exhaust the budget mid-steal"
     );
 
     for workers in [2, 4] {
-        for engine in ["steal", "mpsc"] {
-            let err = match engine {
-                "steal" => ParallelExplorer::new(&p)
-                    .with_workers(workers)
-                    .with_budget(budget)
-                    .explore([init(&p)])
-                    .expect_err("budget far below the reachable set must be exceeded"),
-                _ => MpscExplorer::new(&p)
-                    .with_workers(workers)
-                    .with_budget(budget)
-                    .explore([init(&p)])
-                    .expect_err("budget far below the reachable set must be exceeded"),
-            };
-            match err {
-                ExploreError::BudgetExceeded {
-                    limit,
-                    visited,
-                    trace,
-                } => {
-                    assert_eq!(
-                        limit, budget,
-                        "{engine}, {workers} workers: limit not preserved"
-                    );
-                    assert!(
-                        visited > budget,
-                        "{engine}, {workers} workers: exhaustion implies visited \
-                         ({visited}) > budget"
-                    );
-                    assert!(
-                        visited <= sequential_size + budget * workers,
-                        "{engine}, {workers} workers: post-join visited aggregate \
-                         ({visited}) is absurd"
-                    );
-                    match engine {
-                        "steal" => {
-                            // The deque engine keeps a parent forest in the
-                            // shared arena and reports a concrete witness to
-                            // the exhaustion point.
-                            let trace = trace.unwrap_or_else(|| {
-                                panic!(
-                                    "{engine}, {workers} workers: budget exhaustion \
-                                     must carry a witness trace"
-                                )
-                            });
-                            assert!(!trace.is_empty());
-                            assert_eq!(trace.steps[0].before, init(&p));
-                            for pair in trace.steps.windows(2) {
-                                assert_eq!(pair[0].after, pair[1].before, "steps must chain");
-                            }
-                        }
-                        _ => assert!(
-                            trace.is_none(),
-                            "{engine}, {workers} workers: the mpsc baseline keeps no \
-                             parent forest and must honestly report no trace"
-                        ),
-                    }
-                }
-                other => {
-                    panic!("{engine}, {workers} workers: expected BudgetExceeded, got {other}")
+        let err = ParallelExplorer::new(&p)
+            .with_workers(workers)
+            .with_budget(budget)
+            .explore([init(&p)])
+            .expect_err("budget far below the reachable set must be exceeded");
+        match err {
+            ExploreError::BudgetExceeded {
+                limit,
+                visited,
+                trace,
+            } => {
+                assert_eq!(limit, budget, "{workers} workers: limit not preserved");
+                assert!(
+                    visited > budget,
+                    "{workers} workers: exhaustion implies visited ({visited}) > budget"
+                );
+                assert!(
+                    visited <= sequential_size + budget * workers,
+                    "{workers} workers: post-join visited aggregate ({visited}) is absurd"
+                );
+                // The engine keeps a parent forest in the shared arena and
+                // reports a concrete witness to the exhaustion point.
+                let trace = trace.unwrap_or_else(|| {
+                    panic!("{workers} workers: budget exhaustion must carry a witness trace")
+                });
+                assert!(!trace.is_empty());
+                assert_eq!(trace.steps[0].before, init(&p));
+                for pair in trace.steps.windows(2) {
+                    assert_eq!(pair[0].after, pair[1].before, "steps must chain");
                 }
             }
+            other => panic!("{workers} workers: expected BudgetExceeded, got {other}"),
         }
     }
 }
@@ -150,8 +97,7 @@ fn budget_exceeded_mid_migration_reports_limit_and_witness() {
 /// Exhaustion mid-steal must not lose per-shard counters: the error path of
 /// the work-stealing engine still joins every worker and aggregates its
 /// stats, and the steal bookkeeping stays conserved — everything stolen in
-/// was stolen from some deque, and duplicates never exceed migrations
-/// (trivially, since the deque engine cannot re-intern migrated work).
+/// was stolen from some deque.
 #[test]
 fn budget_exceeded_mid_steal_still_aggregates_shard_stats() {
     let p = two_counter_program(6);
@@ -182,15 +128,6 @@ fn budget_exceeded_mid_steal_still_aggregates_shard_stats() {
             stats.stolen(),
             stats.migrated(),
             "{workers} workers: steal conservation broken"
-        );
-        assert!(
-            stats.migration_dups() <= stats.migrated(),
-            "{workers} workers: dups exceed migrations"
-        );
-        assert_eq!(
-            stats.migration_dups(),
-            0,
-            "{workers} workers: the deque engine cannot re-intern migrated work"
         );
     }
 }

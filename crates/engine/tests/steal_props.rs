@@ -101,8 +101,7 @@ proptest! {
         prop_assert_eq!(stats.expanded() as usize, parallel.config_count());
         // Every distinct config is exactly one dedup miss somewhere.
         prop_assert_eq!(stats.intern().misses as usize, parallel.config_count());
-        // Steal conservation, and no id-translation dedup can exist.
+        // Steal conservation.
         prop_assert_eq!(stats.stolen(), stats.migrated());
-        prop_assert_eq!(stats.migration_dups(), 0);
     }
 }

@@ -31,11 +31,11 @@ use inseq_fuzz::corpus::{table1_specs, zoo_specs};
 use inseq_fuzz::coverage::MeasureOptions;
 use inseq_fuzz::meta::{phase_breakdown, ReplayMeta};
 use inseq_fuzz::oracles::{disagrees, run_oracle, Oracle, OracleOutcome, DEFAULT_BUDGET};
-use inseq_fuzz::serial::{parse_spec, write_spec};
 use inseq_fuzz::shrink::shrink;
-use inseq_fuzz::spec::ProgramSpec;
 use inseq_fuzz::{generate, GenConfig};
 use inseq_kernel::ReduceMode;
+use inseq_lang::serial::{parse_spec, write_spec};
+use inseq_lang::spec::ProgramSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

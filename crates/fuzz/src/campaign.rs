@@ -30,13 +30,13 @@
 use std::time::{Duration, Instant};
 
 use inseq_kernel::ReduceMode;
+use inseq_lang::spec::ProgramSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::coverage::{measure_battery, CoverageMap, MeasureOptions};
 use crate::gen::{generate, GenConfig};
 use crate::mutate::{mutate, MutateConfig};
 use crate::oracles::{Disagreement, Oracle};
-use crate::spec::ProgramSpec;
 
 /// Mutation parents come from the last this-many corpus entries.
 const RECENCY_WINDOW: usize = 8;

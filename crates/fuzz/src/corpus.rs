@@ -3,7 +3,7 @@
 //! The corpus under `fuzz/corpus/` is seeded with the paper's Table 1
 //! protocols: each `P2` atomic-action program is converted back into a
 //! [`ProgramSpec`] (name-based statements, globals with initial values, the
-//! initial pending bag) and serialized with [`crate::serial::write_spec`].
+//! initial pending bag) and serialized with [`inseq_lang::serial::write_spec`].
 //! Replaying those files exercises the exact same parse → build → explore
 //! path that minimized fuzz repros use, on programs whose behavior the
 //! protocol test suites pin down independently.
@@ -11,12 +11,11 @@
 use std::sync::Arc;
 
 use inseq_kernel::Config;
+use inseq_lang::spec::{spec_stmts, ActionSpec, ProgramSpec};
 use inseq_lang::{DslAction, GlobalDecls};
 use inseq_protocols::{
     broadcast, chang_roberts, n_buyer, paxos, ping_pong, producer_consumer, two_phase_commit, zoo,
 };
-
-use crate::spec::{spec_stmts, ActionSpec, ProgramSpec};
 
 /// Converts built DSL actions plus an initial configuration into a spec.
 ///
@@ -147,8 +146,8 @@ pub fn zoo_specs() -> Vec<(String, ProgramSpec)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serial::{parse_spec, write_spec};
     use inseq_kernel::Explorer;
+    use inseq_lang::serial::{parse_spec, write_spec};
 
     #[test]
     fn every_table1_export_builds_and_round_trips() {

@@ -3,8 +3,9 @@
 //! A map is the union of three bitmap families:
 //!
 //! * **VM dispatch edges** — `(previous opcode kind, opcode kind)` pairs
-//!   recorded by `inseq_lang::coverage` while the measured program's
-//!   deterministic explorations and checks execute on the register VM;
+//!   recorded into an `inseq_lang::coverage::CoverageSink` while the
+//!   measured program's deterministic explorations and checks execute on
+//!   the register VM;
 //! * **oracle outcomes** — which of the battery's oracles fired and with
 //!   which verdict class (checked / skipped / disagreement);
 //! * **verdict variants** — the program's own behavior classes (assertion
@@ -23,21 +24,21 @@
 //! seed and program produce a bit-identical signature at any worker count
 //! and under any `--reduce` mode. `tests/coverage_determinism.rs` pins this.
 //!
-//! Measurement is process-global (the VM bitmap is shared), so
-//! [`measure_battery`] serializes through a mutex: concurrent tests cannot
-//! pollute each other's snapshots.
+//! The sink belongs to the recorded build of the measured program alone:
+//! VM evaluations of any other program in the process — another test,
+//! another measurement, the unrecorded battery's own rebuild — never reach
+//! it, so measurements need no serialization.
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use inseq_core::mechanical_application;
 use inseq_engine::{ParallelExplorer, Reducer};
 use inseq_kernel::{Explorer, ReduceMode};
-use inseq_lang::coverage as vmcov;
+use inseq_lang::coverage::{self as vmcov, CoverageSink};
+use inseq_lang::spec::ProgramSpec;
 
 use crate::oracles::{run_oracle, Disagreement, Oracle, OracleOutcome};
-use crate::spec::ProgramSpec;
 
 /// Number of `u64` words of auxiliary (non-VM) coverage.
 const AUX_WORDS: usize = 2;
@@ -192,33 +193,24 @@ impl Default for MeasureOptions {
     }
 }
 
-/// Serializes measured runs: the VM coverage bitmap is process-global.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_measure() -> MutexGuard<'static, ()> {
-    // A panicking measured test must not poison every later measurement.
-    MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs the full oracle battery on `spec` while recording its coverage map.
 ///
 /// Coverage recording follows the determinism contract in the module docs:
 /// sequential exploration, reduced sequential exploration, `check()`, and
-/// the worker-invariant unreduced engine exploration record VM edges; the
-/// battery itself (which interleaves parallel and budget-sensitive paths)
-/// runs unrecorded and contributes outcome bits only.
+/// the worker-invariant unreduced engine exploration record VM edges into
+/// the sink of a dedicated build; the battery itself (which interleaves
+/// parallel and budget-sensitive paths) rebuilds the spec without a sink
+/// and contributes outcome bits only.
 #[must_use]
 pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun {
-    let _guard = lock_measure();
     let mut map = CoverageMap::new();
-    vmcov::reset();
+    let sink = CoverageSink::new();
 
-    let built = spec.build();
+    let built = spec.build_with_coverage(&sink);
     let mut within_budget = false;
     match &built {
         Err(_) => map.set_aux(0, BIT_BUILD_FAILS),
         Ok(built) => {
-            vmcov::set_enabled(true);
             // Deterministic sequential exploration: verdict variants.
             match Explorer::new(&built.program)
                 .with_budget(opts.budget)
@@ -282,12 +274,13 @@ pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun
                     .with_budget(opts.budget)
                     .explore([built.init.clone()]);
             }
-            vmcov::set_enabled(false);
         }
     }
+    map.vm = sink.snapshot();
 
     // The battery re-checks everything through both sequential and parallel
-    // paths; it runs unrecorded (outcome bits only) per the contract above.
+    // paths on its own sink-less builds: outcome bits only, per the contract
+    // above.
     let mut outcomes = Vec::new();
     let mut phases = Vec::new();
     let mut disagreement = None;
@@ -308,8 +301,6 @@ pub fn measure_battery(spec: &ProgramSpec, opts: &MeasureOptions) -> MeasuredRun
             }
         }
     }
-    map.vm = vmcov::snapshot();
-
     MeasuredRun {
         outcomes: match disagreement {
             Some(d) => Err(d),

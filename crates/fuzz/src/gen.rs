@@ -26,10 +26,9 @@
 
 use inseq_kernel::{Multiset, Value};
 use inseq_lang::build as e;
+use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::{Expr, Sort};
 use rand::{rngs::StdRng, seq::SliceRandom, Rng};
-
-use crate::spec::{ActionSpec, ProgramSpec, SpecStmt};
 
 /// Size bounds for generation.
 #[derive(Debug, Clone)]
@@ -582,6 +581,7 @@ pub fn generate(rng: &mut StdRng, config: &GenConfig) -> ProgramSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inseq_lang::serial::{parse_spec, write_spec};
     use rand::SeedableRng;
 
     #[test]
@@ -600,11 +600,11 @@ mod tests {
         let config = GenConfig::default();
         let text_a = {
             let mut rng = StdRng::seed_from_u64(42);
-            crate::serial::write_spec(&generate(&mut rng, &config))
+            write_spec(&generate(&mut rng, &config))
         };
         let text_b = {
             let mut rng = StdRng::seed_from_u64(42);
-            crate::serial::write_spec(&generate(&mut rng, &config))
+            write_spec(&generate(&mut rng, &config))
         };
         assert_eq!(text_a, text_b);
     }
@@ -615,10 +615,10 @@ mod tests {
         for seed in 0..50 {
             let mut rng = StdRng::seed_from_u64(seed);
             let spec = generate(&mut rng, &config);
-            let text = crate::serial::write_spec(&spec);
-            let reparsed = crate::serial::parse_spec(&text)
-                .unwrap_or_else(|e| panic!("seed {seed}: reparse failed: {e}"));
-            assert_eq!(text, crate::serial::write_spec(&reparsed), "seed {seed}");
+            let text = write_spec(&spec);
+            let reparsed =
+                parse_spec(&text).unwrap_or_else(|e| panic!("seed {seed}: reparse failed: {e}"));
+            assert_eq!(text, write_spec(&reparsed), "seed {seed}");
             reparsed.build().expect("round-tripped spec builds");
         }
     }

@@ -8,9 +8,9 @@
 //! vs brute-force mover analysis, multiset permutation invariance — and,
 //! when two paths disagree, greedily shrinks the program to a locally
 //! minimal repro ([`shrink`]) serialized in a textual corpus format
-//! ([`serial`]) alongside the RNG seed that produced it.
+//! ([`inseq_lang::serial`]) alongside the RNG seed that produced it.
 //!
-//! Everything operates on [`spec::ProgramSpec`], a name-based program
+//! Everything operates on [`inseq_lang::spec::ProgramSpec`], a name-based program
 //! description that builds through the ordinary `inseq_lang` typechecker —
 //! so every generated or shrunk program is well-typed by construction, and
 //! corpus files replay through the exact pipeline hand-written protocols
@@ -24,15 +24,11 @@ pub mod gen;
 pub mod meta;
 pub mod mutate;
 pub mod oracles;
-pub mod serial;
 pub mod shrink;
-pub mod spec;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult};
 pub use coverage::{measure_battery, CoverageMap, MeasureOptions, MeasuredRun};
 pub use gen::{generate, GenConfig};
 pub use mutate::{mutate, MutOp, MutateConfig};
 pub use oracles::{run_battery, run_oracle, Disagreement, Oracle, OracleOutcome, DEFAULT_BUDGET};
-pub use serial::{parse_spec, write_spec, ParseError};
 pub use shrink::shrink;
-pub use spec::{ActionSpec, BuiltSpec, ProgramSpec, SpecError, SpecStmt};

@@ -29,9 +29,9 @@ use std::fmt;
 use std::time::Duration;
 
 use inseq_kernel::Explorer;
+use inseq_lang::spec::ProgramSpec;
 
 use crate::coverage::{measure_battery, MeasureOptions};
-use crate::spec::ProgramSpec;
 
 /// Parsed `;@` metadata of one corpus entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -21,12 +21,12 @@
 //! property-tests this over hundreds of mutants.
 
 use inseq_kernel::Value;
+use inseq_lang::spec::{ProgramSpec, SpecStmt};
 use inseq_lang::{build as e, Expr};
 use rand::{rngs::StdRng, Rng};
 
 use crate::gen::{block_is_leaf, global_sort, random_value};
 use crate::shrink::{count_spec_ints, for_each_spec_int};
-use crate::spec::{ProgramSpec, SpecStmt};
 
 /// The mutation operators, in the order [`mutate`] indexes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -410,7 +410,7 @@ mod tests {
         let run = || {
             let mut rng = StdRng::seed_from_u64(99);
             let base = generate(&mut rng, &gen_config);
-            crate::serial::write_spec(&mutate(&mut rng, &base, &mut_config))
+            inseq_lang::serial::write_spec(&mutate(&mut rng, &base, &mut_config))
         };
         assert_eq!(run(), run());
     }

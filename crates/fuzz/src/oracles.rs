@@ -27,9 +27,8 @@ use inseq_kernel::{
     ActionName, ActionOutcome, Exploration, Explorer, GlobalStore, Interner, Multiset,
     PendingAsync, Program, StateUniverse,
 };
+use inseq_lang::spec::{BuiltSpec, ProgramSpec};
 use inseq_mover::MoverChecker;
-
-use crate::spec::{BuiltSpec, ProgramSpec};
 
 /// Default per-oracle exploration budget (distinct configurations).
 pub const DEFAULT_BUDGET: usize = 4_000;
@@ -124,13 +123,6 @@ impl OracleOutcome {
     }
 }
 
-fn explore(built: &BuiltSpec, budget: usize) -> Result<Exploration, String> {
-    Explorer::new(&built.program)
-        .with_budget(budget)
-        .explore([built.init.clone()])
-        .map_err(|e| e.to_string())
-}
-
 /// Runs one oracle on a spec.
 ///
 /// # Errors
@@ -141,13 +133,9 @@ pub fn run_oracle(
     spec: &ProgramSpec,
     budget: usize,
 ) -> Result<OracleOutcome, Disagreement> {
-    let built = match spec.build() {
-        Ok(b) => b,
-        Err(e) => return Ok(OracleOutcome::Skipped(format!("spec does not build: {e}"))),
-    };
-    let exploration = match explore(&built, budget) {
+    let (built, exploration) = match build_and_explore(spec, budget) {
         Ok(x) => x,
-        Err(e) => return Ok(OracleOutcome::Skipped(format!("exploration skipped: {e}"))),
+        Err(skipped) => return Ok(skipped),
     };
     match oracle {
         Oracle::VmInterp => vm_interp(&built, &exploration),
@@ -155,8 +143,47 @@ pub fn run_oracle(
         Oracle::Intern => intern(&exploration),
         Oracle::Mover => mover(&built, &exploration),
         Oracle::Bags => bags(&built, &exploration),
-        Oracle::Reduce => reduce(&built, &exploration, budget),
+        // Only ample-set pruning is on trial: generated specs carry no
+        // symmetry, so `por` is the whole reduction surface a fuzz program
+        // can exercise.
+        Oracle::Reduce => reduce(&built, &exploration, budget, &Reducer::new(ReduceMode::Por)),
     }
+}
+
+/// The `reduce` oracle's comparison with a caller-chosen [`Reducer`]:
+/// explorations reduced by `reducer` (sequential and 2-worker steal) must
+/// agree with the unreduced one. [`run_oracle`] passes the sound
+/// `--reduce por` reducer; fault-injection tests pass a broken one to show
+/// the comparison catches it.
+///
+/// # Errors
+///
+/// Returns the [`Disagreement`] when a reduced run diverges.
+pub fn reduce_against(
+    spec: &ProgramSpec,
+    budget: usize,
+    reducer: &Reducer,
+) -> Result<OracleOutcome, Disagreement> {
+    match build_and_explore(spec, budget) {
+        Ok((built, exploration)) => reduce(&built, &exploration, budget, reducer),
+        Err(skipped) => Ok(skipped),
+    }
+}
+
+/// Builds `spec` and explores it unreduced: the common reference of every
+/// oracle, or the skip outcome when either step does not complete.
+fn build_and_explore(
+    spec: &ProgramSpec,
+    budget: usize,
+) -> Result<(BuiltSpec, Exploration), OracleOutcome> {
+    let built = spec
+        .build()
+        .map_err(|e| OracleOutcome::Skipped(format!("spec does not build: {e}")))?;
+    let exploration = Explorer::new(&built.program)
+        .with_budget(budget)
+        .explore([built.init.clone()])
+        .map_err(|e| OracleOutcome::Skipped(format!("exploration skipped: {e}")))?;
+    Ok((built, exploration))
 }
 
 /// Runs several oracles; stops at the first disagreement.
@@ -661,6 +688,7 @@ fn reduce(
     built: &BuiltSpec,
     exploration: &Exploration,
     budget: usize,
+    reducer: &Reducer,
 ) -> Result<OracleOutcome, Disagreement> {
     let fail = |detail: String| {
         Err(Disagreement {
@@ -668,15 +696,12 @@ fn reduce(
             detail,
         })
     };
-    // Only ample-set pruning is on trial: generated specs carry no symmetry,
-    // so `por` is the whole reduction surface a fuzz program can exercise.
-    let reducer = Reducer::new(ReduceMode::Por);
     let terminals: BTreeSet<&GlobalStore> = exploration.terminal_stores().collect();
     let runs = [
         ("seq", {
             Explorer::new(&built.program)
                 .with_budget(budget)
-                .with_reduction(&reducer)
+                .with_reduction(reducer)
                 .explore([built.init.clone()])
                 .map(|x| {
                     (
@@ -692,7 +717,7 @@ fn reduce(
             ParallelExplorer::new(&built.program)
                 .with_workers(2)
                 .with_budget(budget)
-                .with_reduction(&reducer)
+                .with_reduction(reducer)
                 .explore([built.init.clone()])
                 .map(|x| {
                     (

@@ -9,9 +9,8 @@
 //! integer constants), so the loop terminates at a local minimum.
 
 use inseq_kernel::Value;
+use inseq_lang::spec::{ProgramSpec, SpecStmt};
 use inseq_lang::Expr;
-
-use crate::spec::{ProgramSpec, SpecStmt};
 
 /// Shrinks `spec` to a locally minimal spec on which `fails` still holds.
 ///
@@ -312,9 +311,9 @@ fn for_each_value_int(value: &mut Value, edit: &mut impl FnMut(&mut i64)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ActionSpec;
     use inseq_kernel::Explorer;
     use inseq_lang::build;
+    use inseq_lang::spec::ActionSpec;
     use inseq_lang::Sort;
 
     /// A program whose `Main` asserts `g < 7` after incrementing `g` twice,

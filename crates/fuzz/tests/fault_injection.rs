@@ -47,7 +47,7 @@ fn injected_vm_miscompile_is_caught_and_shrunk_to_a_tiny_repro() {
         small.stmt_count() <= 5,
         "seed {seed}: expected a <=5-statement repro, got {} statements:\n{}",
         small.stmt_count(),
-        inseq_fuzz::write_spec(&small)
+        inseq_lang::serial::write_spec(&small)
     );
 
     // Heal the VM: the same minimized program must now agree, which pins

@@ -80,6 +80,6 @@ fn guided_campaign_finds_the_injected_fault_at_least_as_fast_as_blind() {
         small.stmt_count() <= 6,
         "expected a tiny repro, got {} statements:\n{}",
         small.stmt_count(),
-        inseq_fuzz::write_spec(&small)
+        inseq_lang::serial::write_spec(&small)
     );
 }

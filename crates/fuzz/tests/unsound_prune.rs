@@ -1,15 +1,14 @@
-//! End-to-end proof that the `reduce` oracle has teeth: deliberately break
-//! the ample rule (the engine's `fault-injection` feature makes every
-//! `Reducer` prune on the first enabled candidate with no commutation
-//! check) and check that the oracle catches the resulting verdict flip.
-//!
-//! This lives in its own integration-test binary so the process-global
-//! fault switch cannot leak into any other test.
+//! End-to-end proof that the `reduce` oracle has teeth: hand the oracle's
+//! comparison a deliberately broken `Reducer` (the engine's
+//! `fault-injection` feature adds `Reducer::unsound_prune`, which prunes on
+//! the first enabled candidate with no commutation check) and check that
+//! it catches the resulting verdict flip.
 
-use inseq_engine::fault::{set_unsound_prune, unsound_prune_enabled};
-use inseq_fuzz::oracles::{disagrees, run_oracle, Oracle, OracleOutcome, DEFAULT_BUDGET};
-use inseq_fuzz::{generate, ActionSpec, GenConfig, ProgramSpec, SpecStmt};
-use inseq_kernel::Value;
+use inseq_engine::Reducer;
+use inseq_fuzz::oracles::{reduce_against, run_oracle, Oracle, OracleOutcome, DEFAULT_BUDGET};
+use inseq_fuzz::{generate, GenConfig};
+use inseq_kernel::{ReduceMode, Value};
+use inseq_lang::spec::{ActionSpec, ProgramSpec, SpecStmt};
 use inseq_lang::{BinOp, Expr, Sort};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +61,6 @@ fn order_sensitive_spec() -> ProgramSpec {
 
 #[test]
 fn injected_unsound_pruning_is_caught_by_the_reduce_oracle() {
-    assert!(!unsound_prune_enabled(), "fault must start disabled");
     let spec = order_sensitive_spec();
 
     // Sanity: the sound reduction agrees on the handcrafted program and on
@@ -81,25 +79,13 @@ fn injected_unsound_pruning_is_caught_by_the_reduce_oracle() {
             .unwrap_or_else(|d| panic!("seed {seed} disagrees before injection: {d}"));
     }
 
-    // Inject: every Reducer now prunes to the first enabled pending with no
+    // Inject: this Reducer prunes to the first enabled pending with no
     // commutation check. The pruned schedule is the only failing one, so
-    // the reduced verdict flips and the oracle must notice.
-    set_unsound_prune(true);
-    let caught = disagrees(Oracle::Reduce, &spec, DEFAULT_BUDGET);
-    set_unsound_prune(false);
+    // the reduced verdict flips and the comparison must notice.
+    let unsound = Reducer::new(ReduceMode::Por).unsound_prune();
     assert!(
-        caught,
+        reduce_against(&spec, DEFAULT_BUDGET, &unsound).is_err(),
         "the reduce oracle missed an unsound pruning rule that hides the \
          only failing schedule"
-    );
-
-    // Heal: the same program must agree again, pinning the disagreement on
-    // the injected fault rather than on a real reduction bug.
-    assert!(
-        matches!(
-            run_oracle(Oracle::Reduce, &spec, DEFAULT_BUDGET),
-            Ok(OracleOutcome::Checked)
-        ),
-        "repro still disagrees after removing the fault"
     );
 }

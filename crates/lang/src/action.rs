@@ -11,6 +11,7 @@ use inseq_kernel::{
 use inseq_obs::Counter;
 
 use crate::compile::{self, CompiledAction, ExecMode};
+use crate::coverage::CoverageSink;
 use crate::error::TypeError;
 use crate::interp;
 use crate::sort::Sort;
@@ -158,9 +159,11 @@ pub struct DslAction {
     body: Vec<Stmt>,
     globals: Arc<GlobalDecls>,
     slots: BTreeMap<String, Slot>,
-    /// Per-action execution-mode override; `None` defers to the process-wide
-    /// default ([`crate::set_default_exec_mode`] / `INSEQ_EXEC`).
-    exec: Option<ExecMode>,
+    /// Which evaluator serves [`ActionSemantics::eval`]; the VM unless
+    /// forced with [`DslAction::with_exec_mode`].
+    exec: ExecMode,
+    /// Where the VM records this action's dispatch edges, if anywhere.
+    coverage: Option<CoverageSink>,
     /// Compile cache: one compile per action, shared by clones of the inner
     /// `Arc`. `Some(None)` records a failed compile (interpreter fallback).
     compiled: OnceLock<Option<Arc<CompiledAction>>>,
@@ -189,6 +192,7 @@ impl DslAction {
             params: Vec::new(),
             locals: Vec::new(),
             body: Vec::new(),
+            coverage: None,
         }
     }
 
@@ -245,21 +249,23 @@ impl DslAction {
     }
 
     fn use_compiled(&self) -> bool {
-        matches!(
-            self.exec.unwrap_or_else(compile::default_exec_mode),
-            ExecMode::Compiled
-        )
+        self.exec == ExecMode::Compiled
     }
 
-    /// A copy of this action forced to the given execution mode, regardless
-    /// of the process-wide default. The compile cache and counters are
-    /// shared with the original, so forcing a mode is cheap and race-free —
-    /// differential tests use this to run the same action on both paths.
+    /// A copy of this action forced to the given execution mode. The
+    /// compile cache and counters are shared with the original, so forcing
+    /// a mode is cheap and race-free — differential tests use this to run
+    /// the same action on both paths.
     #[must_use]
     pub fn with_exec_mode(&self, mode: ExecMode) -> Arc<DslAction> {
         let mut action = self.clone();
-        action.exec = Some(mode);
+        action.exec = mode;
         Arc::new(action)
+    }
+
+    /// The sink the VM records this action's dispatch edges into, if any.
+    pub(crate) fn coverage(&self) -> Option<&CoverageSink> {
+        self.coverage.as_ref()
     }
 
     /// Evaluates through the tree-walk interpreter — the reference
@@ -341,6 +347,7 @@ pub struct ActionBuilder {
     params: Vec<(String, Sort)>,
     locals: Vec<(String, Sort)>,
     body: Vec<Stmt>,
+    coverage: Option<CoverageSink>,
 }
 
 impl ActionBuilder {
@@ -362,6 +369,14 @@ impl ActionBuilder {
     #[must_use]
     pub fn body(mut self, body: Vec<Stmt>) -> Self {
         self.body = body;
+        self
+    }
+
+    /// Records the action's VM dispatch edges into `sink` (see
+    /// [`crate::coverage`]).
+    #[must_use]
+    pub(crate) fn coverage(mut self, sink: &CoverageSink) -> Self {
+        self.coverage = Some(sink.clone());
         self
     }
 
@@ -400,7 +415,8 @@ impl ActionBuilder {
             body: self.body,
             globals: self.globals,
             slots,
-            exec: None,
+            exec: ExecMode::Compiled,
+            coverage: self.coverage,
             compiled: OnceLock::new(),
             interp_evals: Arc::new(Counter::new()),
         };

@@ -42,12 +42,13 @@
 //! evaluation falls back to the interpreter, preserving semantics exactly.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use inseq_kernel::{ActionName, Footprint, Value};
 use inseq_obs::Counter;
 
 use crate::action::{DslAction, Slot};
+use crate::coverage::CoverageSink;
 use crate::expr::{BinOp, Expr};
 use crate::rt::range_set_value;
 use crate::stmt::Stmt;
@@ -61,27 +62,6 @@ pub enum ExecMode {
     Compiled,
     /// The tree-walk reference interpreter.
     Interp,
-}
-
-static DEFAULT_MODE: OnceLock<ExecMode> = OnceLock::new();
-
-/// Sets the process-wide default execution mode for DSL actions.
-///
-/// First write wins — including the implicit resolution on first evaluation
-/// (which consults the `INSEQ_EXEC` environment variable: `interp` selects
-/// the interpreter, anything else the compiled path). Returns `false` when
-/// the mode was already resolved and the call had no effect. Individual
-/// actions can still be forced either way with
-/// [`DslAction::with_exec_mode`].
-pub fn set_default_exec_mode(mode: ExecMode) -> bool {
-    DEFAULT_MODE.set(mode).is_ok()
-}
-
-pub(crate) fn default_exec_mode() -> ExecMode {
-    *DEFAULT_MODE.get_or_init(|| match std::env::var("INSEQ_EXEC").as_deref() {
-        Ok("interp") => ExecMode::Interp,
-        _ => ExecMode::Compiled,
-    })
 }
 
 /// Why an action could not be compiled (it will run on the interpreter).
@@ -241,6 +221,8 @@ pub(crate) struct CompiledAction {
     pub(crate) compile_nanos: u64,
     /// Evaluations served by the VM for this action (observability only).
     pub(crate) vm_evals: Counter,
+    /// Where the VM records this action's dispatch edges, if anywhere.
+    pub(crate) coverage: Option<CoverageSink>,
 }
 
 /// Compiles `action` (and, recursively, its `call` callees through their own
@@ -271,6 +253,7 @@ pub(crate) fn compile_action(action: &DslAction) -> Result<CompiledAction, Compi
         op_count: c.op_count,
         compile_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         vm_evals: Counter::new(),
+        coverage: action.coverage().cloned(),
     })
 }
 

@@ -1,11 +1,6 @@
 //! Cheap VM-dispatch coverage for coverage-guided fuzzing.
 //!
-//! Only compiled under the `coverage` feature; when the feature is off the
-//! register VM contains no coverage code at all, and when it is on but
-//! recording is disabled (the initial state) the per-evaluation cost is one
-//! relaxed atomic load.
-//!
-//! The map is a fixed-size process-global bitmap over *dispatch edges*:
+//! A [`CoverageSink`] is a fixed-size bitmap over *dispatch edges*:
 //! ordered pairs `(previous opcode kind, current opcode kind)` observed by
 //! [`crate::vm`]'s dispatch loop, with a virtual entry node so the first
 //! opcode of every op array contributes an edge too. Opcode kinds refine
@@ -14,17 +9,25 @@
 //! into the same comparison — which gives the fuzzer's scheduler a
 //! meaningfully richer signal than 29 bare variants at zero extra cost.
 //!
+//! A sink belongs to the actions it was attached to at build time
+//! ([`crate::spec::ProgramSpec::build_with_coverage`]): the VM records into
+//! the sink of the action it is evaluating and nowhere else, so evaluations
+//! of other programs — on any thread — never touch it. Actions without a
+//! sink pay one branch per dispatched op.
+//!
 //! Edges are recorded with relaxed `fetch_or`, so the map is a *set*: the
-//! union over every evaluation in a run, independent of thread interleaving
-//! and evaluation order. Two runs that execute the same set of evaluations
-//! produce bit-identical snapshots no matter how many workers executed
-//! them — the property the fuzzer's coverage-determinism gate pins down.
+//! union over every evaluation of the sink's actions, independent of thread
+//! interleaving and evaluation order. Two runs that execute the same set of
+//! evaluations produce bit-identical snapshots no matter how many workers
+//! executed them — the property the fuzzer's coverage-determinism gate pins
+//! down.
 //!
 //! [`Op::Bin`]: crate::compile::Op
 //! [`Op::Quant`]: crate::compile::Op
 //! [`BinOp`]: crate::BinOp
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::compile::{Op, QuantKind};
 use crate::expr::BinOp;
@@ -40,43 +43,44 @@ pub(crate) const ENTRY: u16 = OP_KINDS as u16;
 /// `prev` ranging over kinds plus the entry node.
 pub const SNAPSHOT_WORDS: usize = ((OP_KINDS + 1) * OP_KINDS).div_ceil(64);
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static BITS: [AtomicU64; SNAPSHOT_WORDS] = [const { AtomicU64::new(0) }; SNAPSHOT_WORDS];
-
-/// Turns edge recording on or off (process-global, initially off).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+/// A shared dispatch-edge bitmap. Clones share the same bits.
+#[derive(Debug, Clone)]
+pub struct CoverageSink {
+    bits: Arc<[AtomicU64; SNAPSHOT_WORDS]>,
 }
 
-/// Whether edge recording is on.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clears the map.
-pub fn reset() {
-    for word in &BITS {
-        word.store(0, Ordering::SeqCst);
+impl Default for CoverageSink {
+    fn default() -> Self {
+        CoverageSink::new()
     }
 }
 
-/// The current map as bitmap words (always [`SNAPSHOT_WORDS`] long).
-#[must_use]
-pub fn snapshot() -> Vec<u64> {
-    BITS.iter().map(|w| w.load(Ordering::SeqCst)).collect()
+impl CoverageSink {
+    /// An empty sink.
+    #[must_use]
+    pub fn new() -> Self {
+        CoverageSink {
+            bits: Arc::new([const { AtomicU64::new(0) }; SNAPSHOT_WORDS]),
+        }
+    }
+
+    /// The recorded edges as bitmap words (always [`SNAPSHOT_WORDS`] long).
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<u64> {
+        self.bits.iter().map(|w| w.load(Ordering::SeqCst)).collect()
+    }
+
+    #[inline]
+    pub(crate) fn record_edge(&self, prev: u16, cur: u16) {
+        let bit = prev as usize * OP_KINDS + cur as usize;
+        self.bits[bit / 64].fetch_or(1 << (bit % 64), Ordering::Relaxed);
+    }
 }
 
 /// Number of distinct dispatch edges set in a snapshot.
 #[must_use]
 pub fn edge_count(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-#[inline]
-pub(crate) fn record_edge(prev: u16, cur: u16) {
-    let bit = prev as usize * OP_KINDS + cur as usize;
-    BITS[bit / 64].fetch_or(1 << (bit % 64), Ordering::Relaxed);
 }
 
 /// The coverage kind index of an opcode.

@@ -50,7 +50,6 @@
 
 mod action;
 mod compile;
-#[cfg(feature = "coverage")]
 pub mod coverage;
 mod error;
 mod expr;
@@ -68,7 +67,7 @@ mod typeck;
 mod vm;
 
 pub use action::{program_of, ActionBuilder, DslAction, GlobalDecls};
-pub use compile::{set_default_exec_mode, ExecMode};
+pub use compile::ExecMode;
 pub use error::TypeError;
 pub use expr::{BinOp, Expr};
 pub use pretty::{action_loc, pretty_action};

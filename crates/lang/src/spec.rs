@@ -17,6 +17,7 @@ use std::sync::Arc;
 use inseq_kernel::{Config, Footprint, GlobalStore, Multiset, PendingAsync, Program, Value};
 
 use crate::action::{program_of, DslAction, GlobalDecls};
+use crate::coverage::CoverageSink;
 use crate::error::TypeError;
 use crate::expr::Expr;
 use crate::sort::Sort;
@@ -188,6 +189,21 @@ impl ProgramSpec {
     /// or kernel-level assembly failure. Shrinker candidates lean on this:
     /// an edit that breaks well-formedness is discarded, not explored.
     pub fn build(&self) -> Result<BuiltSpec, SpecError> {
+        self.build_inner(None)
+    }
+
+    /// [`ProgramSpec::build`], with every action recording its VM dispatch
+    /// edges into `sink` — so the sink sees exactly the evaluations of this
+    /// build's program, whoever runs them.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProgramSpec::build`].
+    pub fn build_with_coverage(&self, sink: &CoverageSink) -> Result<BuiltSpec, SpecError> {
+        self.build_inner(Some(sink))
+    }
+
+    fn build_inner(&self, sink: Option<&CoverageSink>) -> Result<BuiltSpec, SpecError> {
         let mut decls = GlobalDecls::new();
         for (name, sort, _) in &self.globals {
             if decls.index_of(name).is_some() {
@@ -200,6 +216,9 @@ impl ProgramSpec {
         let mut built: Vec<Arc<DslAction>> = Vec::with_capacity(self.actions.len());
         for spec in &self.actions {
             let mut builder = DslAction::build(&spec.name, &decls);
+            if let Some(sink) = sink {
+                builder = builder.coverage(sink);
+            }
             for (p, sort) in &spec.params {
                 builder = builder.param(p.clone(), sort.clone());
             }

@@ -349,15 +349,12 @@ fn exec_ops(
 ) -> Result<(), Fail> {
     let name = ca.name.as_str();
     let mut pc = 0usize;
-    #[cfg(feature = "coverage")]
-    let recording = crate::coverage::enabled();
-    #[cfg(feature = "coverage")]
+    let sink = ca.coverage.as_ref();
     let mut cov_prev = crate::coverage::ENTRY;
     while let Some(op) = ops.get(pc) {
-        #[cfg(feature = "coverage")]
-        if recording {
+        if let Some(sink) = sink {
             let cur = crate::coverage::op_index(op);
-            crate::coverage::record_edge(cov_prev, cur);
+            sink.record_edge(cov_prev, cur);
             cov_prev = cur;
         }
         match op {

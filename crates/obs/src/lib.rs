@@ -228,13 +228,9 @@ pub struct EngineSnapshot {
     /// Configurations that changed hands by stealing (work-stealing engine
     /// only).
     pub stolen: u64,
-    /// Work that left its discovering shard: stolen configurations on the
-    /// deque engine, staged channel migrations on the mpsc baseline.
+    /// Configurations stolen *from* some worker's deque, counted at the
+    /// victim; equals `stolen` (steal conservation).
     pub migrated: u64,
-    /// Migrated configurations the receiving shard already knew — dedup
-    /// work sharding could not avoid (mpsc baseline only; structurally zero
-    /// on the shared-arena deque engine).
-    pub migration_dups: u64,
     /// Pending asyncs left unexpanded because an ample singleton stood in
     /// for them (partial-order reduction; zero on unreduced runs).
     pub pruned: u64,
@@ -302,7 +298,6 @@ impl EngineSnapshot {
         self.steals += other.steals;
         self.stolen += other.stolen;
         self.migrated += other.migrated;
-        self.migration_dups += other.migration_dups;
         self.pruned += other.pruned;
         self.orbit_collapses += other.orbit_collapses;
         self.lock_waits += other.lock_waits;
@@ -340,12 +335,8 @@ impl fmt::Display for EngineSnapshot {
             self.steals,
             self.stolen,
         )?;
-        if self.migration_dups > 0 || self.migrated != self.stolen {
-            write!(
-                f,
-                ", {} migrated ({} dups)",
-                self.migrated, self.migration_dups
-            )?;
+        if self.migrated != self.stolen {
+            write!(f, ", {} migrated", self.migrated)?;
         }
         if self.pruned > 0 || self.orbit_collapses > 0 {
             write!(
@@ -460,16 +451,7 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("4 worker(s)"), "{text}");
         assert!(text.contains("5 steals moving 12"), "{text}");
-        assert!(!text.contains("dups"), "no mpsc traffic to show: {text}");
-
-        let mpsc = EngineSnapshot {
-            workers: 2,
-            expanded: vec![50, 50],
-            migrated: 40,
-            migration_dups: 31,
-            ..EngineSnapshot::default()
-        };
-        assert!(mpsc.to_string().contains("40 migrated (31 dups)"));
+        assert!(!text.contains("migrated"), "conserved steals: {text}");
 
         let reduced = EngineSnapshot {
             workers: 2,

@@ -10,7 +10,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use inseq_fuzz::{parse_spec, run_battery, write_spec, Oracle, ProgramSpec};
+use inseq_fuzz::{run_battery, Oracle};
+use inseq_lang::serial::{parse_spec, write_spec};
+use inseq_lang::spec::ProgramSpec;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fuzz/corpus")
